@@ -11,8 +11,8 @@
 //!    cell coordinates, salted with the crate version. A checkpoint is
 //!    only ever reused for a cell that is guaranteed to produce the
 //!    identical result; host-throughput knobs proven bit-invisible
-//!    (`idle_skip`, `adaptive`, `mp_jobs`, worker counts) are excluded,
-//!    so checkpoints survive across them.
+//!    (`idle_skip`, `mp_jobs`, worker counts) are excluded, so
+//!    checkpoints survive across them.
 //! 2. **Atomicity.** Files are written to a process-unique temp name and
 //!    renamed into place, so a sweep killed mid-write never leaves a
 //!    torn checkpoint — the next run recomputes that cell.
@@ -358,7 +358,7 @@ mod tests {
         let requota = spec().quota(2_001);
         assert_ne!(cell_key(&spec1, &cells[0]), cell_key(&requota, &requota.cells()[0]));
         // ...a bit-invisible knob does not (checkpoints stay reusable).
-        let retuned = spec().mp_jobs(4).adaptive(false).idle_skip(false);
+        let retuned = spec().mp_jobs(4).idle_skip(false);
         assert_eq!(cell_key(&spec1, &cells[0]), cell_key(&retuned, &retuned.cells()[0]));
         // The spec *name* doesn't key either: same resolved config, same
         // result.

@@ -302,7 +302,6 @@ struct Overrides {
     work: Option<u64>,
     latency: Option<LatencyModel>,
     idle_skip: Option<bool>,
-    adaptive: Option<bool>,
     mp_jobs: Option<usize>,
 }
 
@@ -450,16 +449,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Overrides adaptive lookahead widening for multiprocessor cells
-    /// (see [`interleave_mp::MpSimBuilder::adaptive`]; default on). When
-    /// unset, the `INTERLEAVE_ADAPTIVE` environment variable applies.
-    /// Purely a host-throughput knob: simulated results are
-    /// bit-identical either way.
-    pub fn adaptive(mut self, enabled: bool) -> Self {
-        self.overrides.adaptive = Some(enabled);
-        self
-    }
-
     /// Overrides the host worker threads each multiprocessor cell uses
     /// to advance its node shards between conservative quantum barriers
     /// (see [`interleave_mp::MpSimBuilder::mp_jobs`]). When unset, the
@@ -548,9 +537,6 @@ impl ExperimentSpec {
                 if let Some(skip) = ov.idle_skip.or_else(idle_skip_from_env) {
                     b = b.idle_skip(skip);
                 }
-                if let Some(adaptive) = ov.adaptive.or_else(adaptive_from_env) {
-                    b = b.adaptive(adaptive);
-                }
                 if let Some(jobs) = ov.mp_jobs.or_else(mp_jobs_from_env) {
                     b = b.mp_jobs(jobs);
                 }
@@ -566,8 +552,8 @@ impl ExperimentSpec {
     /// hashes, so two cells share a checkpoint exactly when they are
     /// guaranteed to produce identical results.
     ///
-    /// Host-throughput-only knobs (`idle_skip`, `adaptive`, `mp_jobs`,
-    /// and the runner's `jobs`) are deliberately excluded: they are
+    /// Host-throughput-only knobs (`idle_skip`, `mp_jobs`, and the
+    /// runner's `jobs`) are deliberately excluded: they are
     /// proven bit-invisible, so checkpoints stay valid across them.
     pub fn cell_descriptor(&self, cell: &Cell) -> String {
         let ov = &self.overrides;
@@ -1398,12 +1384,6 @@ fn idle_skip_from_env() -> Option<bool> {
     bool_env("INTERLEAVE_IDLE_SKIP")
 }
 
-/// The `INTERLEAVE_ADAPTIVE` fallback for specs that do not set
-/// [`ExperimentSpec::adaptive`] explicitly.
-fn adaptive_from_env() -> Option<bool> {
-    bool_env("INTERLEAVE_ADAPTIVE")
-}
-
 /// Parses a boolean knob: `1`/`true`/`on` and `0`/`false`/`off`;
 /// anything else (including unset) falls through to the built-in
 /// default.
@@ -1521,14 +1501,6 @@ mod tests {
         assert_eq!(on.metrics_json(), off.metrics_json());
     }
 
-    #[test]
-    fn adaptive_override_is_bit_identical() {
-        let on = Runner::serial().run(&tiny_spec().adaptive(true));
-        let off = Runner::serial().run(&tiny_spec().adaptive(false));
-        assert!(on.results_match(&off), "adaptive lookahead must not change simulated results");
-        assert_eq!(on.metrics_json(), off.metrics_json());
-    }
-
     /// One test covers every env knob so concurrent test threads never
     /// race on the same variable. The knobs themselves are all
     /// host-throughput-only (bit-invisible), so a concurrently running
@@ -1537,24 +1509,18 @@ mod tests {
     fn env_knobs_round_trip() {
         std::env::set_var("INTERLEAVE_MP_JOBS", "3");
         std::env::set_var("INTERLEAVE_IDLE_SKIP", "0");
-        std::env::set_var("INTERLEAVE_ADAPTIVE", "off");
         assert_eq!(mp_jobs_from_env(), Some(3));
         assert_eq!(idle_skip_from_env(), Some(false));
-        assert_eq!(adaptive_from_env(), Some(false));
         std::env::set_var("INTERLEAVE_IDLE_SKIP", "true");
-        std::env::set_var("INTERLEAVE_ADAPTIVE", "1");
         assert_eq!(idle_skip_from_env(), Some(true));
-        assert_eq!(adaptive_from_env(), Some(true));
         // Garbage falls through to the built-in default rather than
         // silently picking a side.
-        std::env::set_var("INTERLEAVE_ADAPTIVE", "maybe");
-        assert_eq!(adaptive_from_env(), None);
+        std::env::set_var("INTERLEAVE_IDLE_SKIP", "maybe");
+        assert_eq!(idle_skip_from_env(), None);
         std::env::remove_var("INTERLEAVE_MP_JOBS");
         std::env::remove_var("INTERLEAVE_IDLE_SKIP");
-        std::env::remove_var("INTERLEAVE_ADAPTIVE");
         assert_eq!(mp_jobs_from_env(), None);
         assert_eq!(idle_skip_from_env(), None);
-        assert_eq!(adaptive_from_env(), None);
         std::env::set_var("INTERLEAVE_SHARD", "3/4");
         assert_eq!(Shard::from_env(), Some(Shard::new(3, 4)));
         // Malformed shard values are ignored (with a warning), never

@@ -101,8 +101,8 @@ fn bubble_category(cause: BubbleCause) -> Option<Category> {
 }
 
 /// How long the processor will stay idle (see [`Processor::idle_bound`]);
-/// defined by the shared engine substrate so the multiprocessor driver can
-/// fold per-processor bounds into machine-wide quiescence.
+/// defined by the shared engine substrate, whose idle-skip clamp the
+/// multiprocessor shards apply to it.
 pub use interleave_engine::IdleBound;
 
 /// A multiple-context processor attached to a memory system.

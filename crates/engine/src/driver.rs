@@ -14,21 +14,6 @@
 //! [`crate::quantum_end`] — and is shared verbatim by the serial and
 //! threaded executors of [`run_sharded`], so the worker count cannot
 //! influence the schedule.
-//!
-//! # Adaptive lookahead
-//!
-//! With [`QuantumSchedule::adaptive`] set, the schedule consults
-//! [`Hooks::quiescent`] before each quantum. If the machine is provably
-//! quiet until cycle `q` — every shard idle, no message due before `q` —
-//! the next quantum widens past the fixed `hop` floor to the last fixed
-//! barrier cycle at or before `q` (or all the way to the boundary when
-//! `q` lies beyond it). Every skipped barrier falls inside the quiet
-//! window, so its exchange would have replayed nothing and routed
-//! nothing: removing it is invisible to simulated state. Barriers that
-//! do remain stay on the fixed schedule's grid, so transaction replay
-//! and message delivery happen at exactly the cycles the fixed schedule
-//! would use — which is why adaptive widening is byte-identical to fixed
-//! quanta, a contract the determinism gate enforces.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -37,7 +22,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 
 use interleave_obs::profile;
 
-use crate::time::{quantum_end, Quiescence};
+use crate::time::quantum_end;
 
 /// One segment order from the schedule to every shard: advance from
 /// `from` to exactly `to`, resetting measured statistics first when
@@ -93,23 +78,15 @@ pub trait Hooks {
     /// Whether the run's completion condition holds (checked at chunk
     /// boundaries).
     fn done(&mut self) -> bool;
-
-    /// Machine-wide quiescence, consulted before each quantum when the
-    /// schedule is adaptive. The default pins the machine active, which
-    /// disables widening.
-    fn quiescent(&mut self) -> Quiescence {
-        Quiescence::Active
-    }
 }
 
 /// The barrier schedule: warmup in hop-sized quanta, then measurement in
 /// fixed validation chunks, each advanced in quanta of at most `hop`
 /// cycles with an exchange at every barrier.
 ///
-/// The schedule is a pure function of its fields plus the hook's
-/// deterministic quiescence reports — never of the executor's worker
-/// count — which is what keeps parallel runs bit-identical to serial
-/// ones.
+/// The schedule is a pure function of its fields — never of the
+/// executor's worker count — which is what keeps parallel runs
+/// bit-identical to serial ones.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantumSchedule {
     /// Conservative lookahead: the minimum cycles any cross-shard
@@ -122,9 +99,6 @@ pub struct QuantumSchedule {
     pub chunk: u64,
     /// Measured cycles past which the run aborts as a livelock.
     pub safety_slack: u64,
-    /// Widen quanta across provably quiescent stretches (see the module
-    /// docs); byte-identical to fixed quanta either way.
-    pub adaptive: bool,
 }
 
 impl QuantumSchedule {
@@ -145,7 +119,7 @@ impl QuantumSchedule {
         assert!(self.chunk > 0, "validation chunk must be at least one cycle");
         let mut now = 0u64;
         while now < self.warmup {
-            let to = self.segment_end(now, self.warmup, hooks);
+            let to = quantum_end(now, self.hop, self.warmup);
             {
                 let _segment = profile::enter("engine.segment");
                 exec(Segment { from: now, to, reset: false }).map_err(|()| Abort::Panicked)?;
@@ -164,7 +138,7 @@ impl QuantumSchedule {
         loop {
             let chunk_end = now + self.chunk;
             while now < chunk_end {
-                let to = self.segment_end(now, chunk_end, hooks);
+                let to = quantum_end(now, self.hop, chunk_end);
                 {
                     let _segment = profile::enter("engine.segment");
                     exec(Segment { from: now, to, reset }).map_err(|()| Abort::Panicked)?;
@@ -186,34 +160,6 @@ impl QuantumSchedule {
             }
         }
         Ok((start, now))
-    }
-
-    /// End of the next quantum starting at `now` within `boundary`: the
-    /// fixed `hop` clamp, adaptively widened — only onto the fixed
-    /// schedule's own barrier grid — across a window the hooks prove
-    /// quiescent.
-    fn segment_end(&self, now: u64, boundary: u64, hooks: &mut impl Hooks) -> u64 {
-        let fixed = quantum_end(now, self.hop, boundary);
-        if !self.adaptive || fixed >= boundary {
-            return fixed;
-        }
-        // The quiescence query locks every shard, so it is the only
-        // part of quantum scheduling worth timing.
-        let _schedule = profile::enter("engine.schedule");
-        match hooks.quiescent() {
-            Quiescence::Active => fixed,
-            Quiescence::External => boundary,
-            Quiescence::Until(q) => {
-                if q >= boundary {
-                    boundary
-                } else {
-                    // Snap down to the fixed barrier grid so every
-                    // skipped barrier lies inside the quiet window and
-                    // is provably a no-op exchange.
-                    fixed.max(now + q.saturating_sub(now) / self.hop * self.hop)
-                }
-            }
-        }
     }
 }
 
@@ -433,23 +379,15 @@ mod tests {
         }
     }
 
-    /// Hooks that finish after a fixed number of chunks and report a
-    /// scripted quiescence before each quantum.
+    /// Hooks that finish after a fixed number of chunks.
     struct ScriptedHooks {
         exchanges: Vec<u64>,
         chunks_left: usize,
-        quiescence: Box<dyn FnMut(usize) -> Quiescence>,
-        queries: usize,
     }
 
     impl ScriptedHooks {
         fn fixed(chunks: usize) -> ScriptedHooks {
-            ScriptedHooks {
-                exchanges: Vec::new(),
-                chunks_left: chunks,
-                quiescence: Box::new(|_| Quiescence::Active),
-                queries: 0,
-            }
+            ScriptedHooks { exchanges: Vec::new(), chunks_left: chunks }
         }
     }
 
@@ -462,37 +400,21 @@ mod tests {
             self.chunks_left = self.chunks_left.saturating_sub(1);
             self.chunks_left == 0
         }
-
-        fn quiescent(&mut self) -> Quiescence {
-            let q = (self.quiescence)(self.queries);
-            self.queries += 1;
-            q
-        }
     }
 
-    fn schedule(adaptive: bool) -> QuantumSchedule {
-        QuantumSchedule { hop: 80, warmup: 200, chunk: 128, safety_slack: 1 << 20, adaptive }
-    }
-
-    /// One run under the serial executor, returning (span, segments,
-    /// barrier cycles).
-    fn run_one(
-        sched: QuantumSchedule,
-        mut hooks: ScriptedHooks,
-    ) -> ((u64, u64), Vec<(u64, u64, bool)>, Vec<u64>) {
-        let shards = vec![LogShard { log: Vec::new() }];
-        let (span, shards) = run_sharded(shards, 1, |exec| sched.run(exec, &mut hooks));
-        let log = shards.into_iter().next().unwrap().log;
-        (span, log, hooks.exchanges)
+    fn schedule() -> QuantumSchedule {
+        QuantumSchedule { hop: 80, warmup: 200, chunk: 128, safety_slack: 1 << 20 }
     }
 
     #[test]
     fn fixed_schedule_clips_to_warmup_and_chunks() {
-        let (span, log, barriers) = run_one(schedule(false), ScriptedHooks::fixed(1));
+        let mut hooks = ScriptedHooks::fixed(1);
+        let shards = vec![LogShard { log: Vec::new() }];
+        let (span, shards) = run_sharded(shards, 1, |e| schedule().run(e, &mut hooks));
         // Warmup 200 with hop 80: quanta 80/80/40; one 128-cycle chunk:
         // 80/48, with the reset on the first measured segment.
         assert_eq!(
-            log,
+            shards[0].log,
             vec![
                 (0, 80, false),
                 (80, 160, false),
@@ -501,56 +423,14 @@ mod tests {
                 (280, 328, false),
             ]
         );
-        assert_eq!(barriers, vec![80, 160, 200, 280, 328]);
+        assert_eq!(hooks.exchanges, vec![80, 160, 200, 280, 328]);
         assert_eq!(span, (200, 328));
-    }
-
-    #[test]
-    fn adaptive_quiet_machine_widens_to_each_boundary() {
-        let mut hooks = ScriptedHooks::fixed(2);
-        hooks.quiescence = Box::new(|_| Quiescence::External);
-        let (span, log, barriers) = run_one(schedule(true), hooks);
-        // Fully external machine: one segment per boundary.
-        assert_eq!(log, vec![(0, 200, false), (200, 328, true), (328, 456, false)]);
-        assert_eq!(barriers, vec![200, 328, 456]);
-        assert_eq!(span, (200, 456));
-    }
-
-    #[test]
-    fn adaptive_widening_snaps_down_to_the_fixed_grid() {
-        let mut hooks = ScriptedHooks::fixed(1);
-        // Quiet until cycle 190 < warmup end: the widened quantum must
-        // stop at 160 (= 2 hops), the last fixed barrier inside the
-        // quiet window, not at 190. Afterwards stay active.
-        hooks.quiescence =
-            Box::new(|n| if n == 0 { Quiescence::Until(190) } else { Quiescence::Active });
-        let (_, log, _) = run_one(schedule(true), hooks);
-        assert_eq!(
-            log,
-            vec![(0, 160, false), (160, 200, false), (200, 280, true), (280, 328, false)]
-        );
-    }
-
-    #[test]
-    fn adaptive_active_machine_matches_the_fixed_schedule() {
-        let (_, fixed_log, fixed_barriers) = run_one(schedule(false), ScriptedHooks::fixed(2));
-        let (_, adaptive_log, adaptive_barriers) = run_one(schedule(true), ScriptedHooks::fixed(2));
-        assert_eq!(fixed_log, adaptive_log);
-        assert_eq!(fixed_barriers, adaptive_barriers);
-    }
-
-    #[test]
-    fn quiescence_below_one_hop_keeps_the_fixed_quantum() {
-        let mut hooks = ScriptedHooks::fixed(1);
-        hooks.quiescence = Box::new(|_| Quiescence::Until(79));
-        let (_, log, _) = run_one(schedule(true), hooks);
-        assert_eq!(log[0], (0, 80, false));
     }
 
     #[test]
     fn parallel_executor_matches_serial_segments() {
         let mk = || (0..5).map(|_| LogShard { log: Vec::new() }).collect::<Vec<_>>();
-        let sched = schedule(false);
+        let sched = schedule();
         let mut serial_hooks = ScriptedHooks::fixed(2);
         let (serial_span, serial) = run_sharded(mk(), 1, |e| sched.run(e, &mut serial_hooks));
         let mut par_hooks = ScriptedHooks::fixed(2);
@@ -576,7 +456,7 @@ mod tests {
         }
         let shards = (0..4).map(|index| Bomb { index }).collect::<Vec<_>>();
         let mut hooks = ScriptedHooks::fixed(4);
-        run_sharded(shards, 4, |e| schedule(false).run(e, &mut hooks));
+        run_sharded(shards, 4, |e| schedule().run(e, &mut hooks));
     }
 
     #[test]
@@ -589,8 +469,7 @@ mod tests {
                 false
             }
         }
-        let sched =
-            QuantumSchedule { hop: 80, warmup: 0, chunk: 128, safety_slack: 512, adaptive: false };
+        let sched = QuantumSchedule { hop: 80, warmup: 0, chunk: 128, safety_slack: 512 };
         let shards = vec![LogShard { log: Vec::new() }];
         run_sharded(shards, 1, |e| sched.run(e, &mut Forever));
     }

@@ -9,10 +9,9 @@
 //!   implementing [`Sequenced`], keyed `(due, class, seq)` so
 //!   processing order is a pure function of scheduling order, never of
 //!   heap internals.
-//! * [`IdleBound`] and [`Quiescence`] — the time authority's vocabulary
-//!   for "nothing can happen before cycle t", used by idle-cycle
-//!   skipping inside one component and by adaptive lookahead across a
-//!   whole machine. [`quantum_end`] is the single shared clamp of a
+//! * [`IdleBound`] — the time authority's vocabulary for "nothing can
+//!   happen before cycle t", used by idle-cycle skipping inside one
+//!   component. [`quantum_end`] is the single shared clamp of a
 //!   quantum to the next scheduled boundary (warmup end or validation
 //!   chunk), so no driver can drift from the schedule.
 //! * [`Inbox`] and [`Msg`] — the deterministic cross-shard router:
@@ -25,8 +24,7 @@
 //! * [`QuantumSchedule`] and [`run_sharded`] — the conservative
 //!   quantum-barrier driver: quanta of at most one lookahead, clipped to
 //!   warmup and validation-chunk boundaries, executed serially or on
-//!   host worker threads with bit-identical results, with optional
-//!   adaptive widening of quanta across provably quiescent stretches.
+//!   host worker threads with bit-identical results.
 //!
 //! Nothing in this crate knows about processors, caches, or directories;
 //! `interleave-core` instantiates the queue and idle bounds for its
@@ -53,4 +51,4 @@ pub use driver::{
 };
 pub use queue::{EventQueue, Sequenced};
 pub use router::{Inbox, Msg, MsgKey};
-pub use time::{quantum_end, IdleBound, Quiescence};
+pub use time::{quantum_end, IdleBound};

@@ -1,14 +1,11 @@
-//! The time authority: idle bounds, machine-wide quiescence, and the
-//! shared quantum boundary clamp.
+//! The time authority: idle bounds and the shared quantum boundary
+//! clamp.
 //!
-//! Idle-cycle skipping inside one component and adaptive lookahead
-//! across a whole machine rest on the same claim: *nothing observable
-//! can happen before cycle t*. [`IdleBound`] states that claim for one
-//! component; [`Quiescence`] folds the claims of every component (plus
-//! every in-flight message) into the machine-wide version the
-//! quantum-barrier driver may act on. [`quantum_end`] is the one clamp
-//! of a quantum to its schedule boundary, shared by every driver so
-//! warmup ends and validation chunks can never drift between them.
+//! Idle-cycle skipping rests on one claim: *nothing observable can
+//! happen before cycle t*. [`IdleBound`] states that claim for one
+//! component. [`quantum_end`] is the one clamp of a quantum to its
+//! schedule boundary, shared by every driver so warmup ends and
+//! validation chunks can never drift between them.
 
 /// How long a component will stay idle, as reported by its own state
 /// when nothing is in flight and nothing can start.
@@ -31,53 +28,6 @@ impl IdleBound {
         match self {
             IdleBound::Until(t) => target.min(t),
             IdleBound::External => target,
-        }
-    }
-}
-
-/// Machine-wide quiescence: the fold of every component's idle bound and
-/// every queued message's due cycle.
-///
-/// The quantum-barrier driver widens a quantum only over a window it can
-/// *prove* empty — every processor idle, no message due — because a
-/// barrier whose exchange would have replayed a transaction or routed a
-/// message cannot be skipped without changing what other shards observe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Quiescence {
-    /// Some component can act right now: keep fixed quanta.
-    Active,
-    /// Nothing can happen before this cycle.
-    Until(u64),
-    /// Nothing can happen without external input at all.
-    External,
-}
-
-impl Quiescence {
-    /// Folds one component's idle bound in: an active component
-    /// (`None`) pins the machine to [`Quiescence::Active`], a timed
-    /// bound caps the quiet window, an external one leaves it alone.
-    pub fn also_idle(self, idle: Option<IdleBound>) -> Quiescence {
-        match idle {
-            None => Quiescence::Active,
-            Some(IdleBound::External) => self,
-            Some(IdleBound::Until(t)) => self.cap(t),
-        }
-    }
-
-    /// Folds one queue's earliest due cycle in: a pending message caps
-    /// the quiet window at its delivery cycle.
-    pub fn also_due(self, due: Option<u64>) -> Quiescence {
-        match due {
-            None => self,
-            Some(t) => self.cap(t),
-        }
-    }
-
-    fn cap(self, t: u64) -> Quiescence {
-        match self {
-            Quiescence::Active => Quiescence::Active,
-            Quiescence::External => Quiescence::Until(t),
-            Quiescence::Until(u) => Quiescence::Until(u.min(t)),
         }
     }
 }
@@ -111,21 +61,5 @@ mod tests {
         assert_eq!(quantum_end(720, 80, 777), 777);
         assert_eq!(quantum_end(0, 80, 40), 40);
         assert_eq!(quantum_end(u64::MAX - 10, 80, u64::MAX), u64::MAX);
-    }
-
-    #[test]
-    fn quiescence_folds_components_and_messages() {
-        let q = Quiescence::External;
-        assert_eq!(q.also_idle(Some(IdleBound::External)), Quiescence::External);
-        assert_eq!(q.also_idle(Some(IdleBound::Until(300))), Quiescence::Until(300));
-        assert_eq!(
-            q.also_idle(Some(IdleBound::Until(300))).also_due(Some(250)),
-            Quiescence::Until(250)
-        );
-        assert_eq!(q.also_due(None), Quiescence::External);
-        // One active component spoils the whole machine, permanently.
-        assert_eq!(q.also_idle(None), Quiescence::Active);
-        assert_eq!(q.also_idle(None).also_idle(Some(IdleBound::Until(9))), Quiescence::Active);
-        assert_eq!(q.also_idle(None).also_due(Some(9)), Quiescence::Active);
     }
 }

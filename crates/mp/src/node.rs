@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use interleave_core::{DataOutcome, InstOutcome, SyncOutcome, SystemPort};
-use interleave_engine::{IdleBound, Inbox};
+use interleave_engine::Inbox;
 use interleave_isa::{Access, SyncKind, SyncRef};
 use interleave_mem::{CacheParams, DirectCache, Resource};
 use interleave_obs::{profile, Histogram};
@@ -121,10 +121,6 @@ pub(crate) struct ShardState {
     /// Retired-instruction counts published by the owning worker at each
     /// segment end (the driver's done-check reads these at barriers).
     pub(crate) retired: Vec<u64>,
-    /// The node processor's idle bound, published at each segment end.
-    /// `None` means the processor can act without external input; the
-    /// adaptive schedule folds these into machine-wide quiescence.
-    pub(crate) cpu_idle: Option<IdleBound>,
     /// Sampled unloaded latency per miss class, indexed by
     /// [`MissClass::index`].
     pub(crate) latencies: [Histogram; 4],
@@ -154,7 +150,6 @@ impl ShardState {
             sync_token: vec![None; contexts],
             sync_done: vec![None; contexts],
             retired: vec![0; contexts],
-            cpu_idle: None,
             latencies: Default::default(),
             mlp_outstanding: Vec::new(),
             mlp_accum: (0, 0),

@@ -2,7 +2,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use interleave_core::{IdleBound, ProcConfig, Processor, Scheme, WaitReason};
 use interleave_engine::{
-    lock, read_lock, run_sharded, write_lock, Hooks, QuantumSchedule, Quiescence, Segment, Shard,
+    lock, read_lock, run_sharded, write_lock, Hooks, QuantumSchedule, Segment, Shard,
 };
 use interleave_mem::CacheParams;
 use interleave_obs::validate::Violation;
@@ -27,11 +27,6 @@ use crate::{Directory, DirectoryStats, LatencyModel, MissClass, SplashProfile, S
 /// for delivery in later quanta. Because no cross-node message can be
 /// due before the end of the quantum that produced it, results are
 /// bit-identical for any `mp_jobs` value.
-///
-/// When the whole machine is provably quiescent — every processor idle,
-/// no message due — the schedule widens quanta past the fixed lookahead
-/// floor (see [`MpSimBuilder::adaptive`]), skipping barriers whose
-/// exchanges would have been no-ops; this too is bit-invisible.
 ///
 /// The run is fixed-work: it ends when every thread has retired its
 /// share of `total_work` instructions, so execution time is directly
@@ -73,8 +68,6 @@ pub struct MpSim {
     seed: u64,
     /// Fast-forward cycles in which a shard's processor is idle.
     idle_skip: bool,
-    /// Widen quanta across machine-wide quiescent stretches.
-    adaptive: bool,
     /// Run the invariant checkers: per-tick processor checks plus
     /// machine-wide coherence checks at every 128-cycle chunk boundary.
     validate: bool,
@@ -92,7 +85,7 @@ pub struct MpSim {
 /// Defaults (before any setter) are a single-context 8-node machine with
 /// 400 000 instructions of total work, 20 000 warmup cycles, the
 /// DASH-like latencies, the fixed default seed, a serial host driver
-/// (`mp_jobs = 1`), and idle skipping plus adaptive lookahead enabled.
+/// (`mp_jobs = 1`), and idle skipping enabled.
 #[derive(Debug, Clone)]
 pub struct MpSimBuilder {
     sim: MpSim,
@@ -146,18 +139,6 @@ impl MpSimBuilder {
     /// bit-identical with it on or off.
     pub fn idle_skip(mut self, enabled: bool) -> Self {
         self.sim.idle_skip = enabled;
-        self
-    }
-
-    /// Widen quanta past the fixed lookahead floor across stretches the
-    /// machine is provably quiescent — every processor idle, no message
-    /// due — skipping barriers whose exchanges would have replayed and
-    /// routed nothing (default true). The widened quantum still ends on
-    /// the fixed schedule's barrier grid, so results are bit-identical
-    /// with it on or off, at every `mp_jobs` value; purely a
-    /// host-throughput optimisation for sync- or latency-bound phases.
-    pub fn adaptive(mut self, enabled: bool) -> Self {
-        self.sim.adaptive = enabled;
         self
     }
 
@@ -233,7 +214,6 @@ impl MpSim {
                 latency: LatencyModel::dash_like(),
                 seed: 0x19941004,
                 idle_skip: true,
-                adaptive: true,
                 validate: interleave_obs::validate::default_enabled(),
                 fault_at: None,
                 mp_jobs: 1,
@@ -279,11 +259,6 @@ impl MpSim {
     /// Host worker threads requested for the parallel driver.
     pub fn mp_jobs(&self) -> usize {
         self.mp_jobs
-    }
-
-    /// Whether adaptive lookahead widening is enabled.
-    pub fn adaptive(&self) -> bool {
-        self.adaptive
     }
 
     /// Runs the simulation to completion.
@@ -339,15 +314,13 @@ impl MpSim {
 
         // The barrier schedule is shared verbatim by the engine's serial
         // and threaded executors, so `mp_jobs` cannot influence results;
-        // quanta of at most one lookahead (adaptively widened across
-        // quiescent stretches, still on the fixed barrier grid), clipped
-        // to the warmup boundary and to every 128-cycle validation chunk.
+        // quanta of at most one lookahead, clipped to the warmup boundary
+        // and to every 128-cycle validation chunk.
         let schedule = QuantumSchedule {
             hop,
             warmup: self.warmup_cycles,
             chunk: 128,
             safety_slack: self.total_work.saturating_mul(400).max(20_000_000),
-            adaptive: self.adaptive,
         };
         let mut hooks = MachineHooks {
             sim: self,
@@ -503,23 +476,6 @@ impl Hooks for MachineHooks<'_> {
     fn done(&mut self) -> bool {
         self.states.iter().all(|s| lock(s).retired.iter().all(|&r| r >= self.quota))
     }
-
-    /// Folds every shard's published processor idle bound and earliest
-    /// queued message into the machine-wide claim the adaptive schedule
-    /// acts on. Reads only simulated state published at barriers, so the
-    /// answer — and therefore the widened schedule — is identical at
-    /// every `mp_jobs` value.
-    fn quiescent(&mut self) -> Quiescence {
-        let mut q = Quiescence::External;
-        for state in self.states {
-            let st = lock(state);
-            q = q.also_idle(st.cpu_idle).also_due(st.next_due());
-            if q == Quiescence::Active {
-                break;
-            }
-        }
-        q
-    }
 }
 
 /// Advances one shard's processor from `from` to exactly `to`, applying
@@ -573,13 +529,11 @@ fn advance_shard(
         }
         cpu.tick();
     }
-    // Publish retired counts and the idle bound for the driver's
-    // barrier-time done-check and quiescence fold.
+    // Publish retired counts for the driver's barrier-time done-check.
     let mut st = lock(state);
     for ctx in 0..contexts {
         st.retired[ctx] = cpu.retired(ctx);
     }
-    st.cpu_idle = cpu.idle_bound();
 }
 
 #[cfg(test)]
@@ -614,7 +568,6 @@ mod tests {
         assert_eq!(sim.latency, LatencyModel::dash_like());
         assert_eq!(sim.mp_jobs, 1);
         assert!(sim.idle_skip);
-        assert!(sim.adaptive);
         assert!(sim.fault_at.is_none());
     }
 
@@ -727,49 +680,6 @@ mod tests {
                 .run()
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn adaptive_lookahead_is_bit_invisible() {
-        // Cholesky's lock contention produces the machine-wide quiescent
-        // stretches adaptive widening exploits; turning it on (serial or
-        // threaded) must not change a single bit of the result.
-        let run = |adaptive: bool, jobs: usize| {
-            MpSim::builder(apps::cholesky())
-                .scheme(Scheme::Interleaved)
-                .nodes(4)
-                .contexts(2)
-                .work(8_000)
-                .warmup(500)
-                .adaptive(adaptive)
-                .mp_jobs(jobs)
-                .build()
-                .run()
-        };
-        let fixed = run(false, 1);
-        assert_eq!(fixed, run(true, 1));
-        assert_eq!(fixed, run(true, 2));
-        assert_eq!(fixed, run(true, 4));
-    }
-
-    #[test]
-    fn adaptive_composes_with_disabled_idle_skip() {
-        // Quiescence is folded from published idle bounds even when
-        // within-segment idle skipping is off; the two knobs must stay
-        // independent and both bit-invisible.
-        let run = |adaptive: bool| {
-            MpSim::builder(apps::barnes())
-                .scheme(Scheme::Blocked)
-                .nodes(2)
-                .contexts(2)
-                .work(6_000)
-                .warmup(500)
-                .idle_skip(false)
-                .adaptive(adaptive)
-                .build()
-                .run()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

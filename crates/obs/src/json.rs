@@ -100,11 +100,16 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace writes nests a few levels; the bound keeps hostile input
+/// (a request body of a million `[`) from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Trailing non-whitespace is an
 /// error; the error string carries a byte offset for debugging.
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -117,6 +122,7 @@ pub fn parse(s: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -141,8 +147,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                if self.depth > MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.i));
+                }
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -308,6 +321,16 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\"}").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_errors_instead_of_overflowing() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
+        let hostile = "[{\"a\":".repeat(500_000);
+        assert!(parse(&hostile).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -14,10 +14,16 @@ use interleave_obs::bus::Watch;
 use interleave_obs::json::{escape, Value};
 use interleave_obs::Registry;
 
-/// Host worker threads a single job may claim (`"jobs"` knob cap): a
-/// queue full of greedy requests must not oversubscribe the machine,
-/// and results are bit-identical at every value anyway.
+/// Host threads a single job may claim — its `"jobs"` cell workers times
+/// the `"mp_jobs"` shard threads each multiprocessor cell spins: a queue
+/// full of greedy requests must not oversubscribe the machine, and
+/// results are bit-identical at every value anyway.
 pub const MAX_JOBS_PER_REQUEST: usize = 8;
+
+/// Integer knobs must stay below 2^53: the wire carries numbers as
+/// `f64`, which cannot represent every larger integer, so a bigger seed
+/// would silently run as a different one.
+const MAX_WIRE_INT: u64 = 1 << 53;
 
 /// A parsed `POST /jobs` body: artifact name plus the optional knobs
 /// the `sweep` subcommand exposes. Knob names match the CLI flags.
@@ -29,13 +35,12 @@ pub struct JobRequest {
     pub scale: Option<Scale>,
     /// Explicit stream seed (result-affecting).
     pub seed: Option<u64>,
-    /// Host worker threads for this job (bit-invisible; capped at
-    /// [`MAX_JOBS_PER_REQUEST`]).
+    /// Host worker threads for this job (bit-invisible; see
+    /// [`JobRequest::host_threads`] for the cap).
     pub jobs: Option<usize>,
-    /// Host threads per multiprocessor cell (bit-invisible).
+    /// Host threads per multiprocessor cell (bit-invisible; capped with
+    /// `jobs`).
     pub mp_jobs: Option<usize>,
-    /// Adaptive lookahead widening (bit-invisible).
-    pub adaptive: Option<bool>,
 }
 
 impl JobRequest {
@@ -52,8 +57,7 @@ impl JobRequest {
             return Err("job spec must be a JSON object".into());
         };
         for key in fields.keys() {
-            if !["artifact", "scale", "seed", "jobs", "mp_jobs", "adaptive"].contains(&key.as_str())
-            {
+            if !["artifact", "scale", "seed", "jobs", "mp_jobs"].contains(&key.as_str()) {
                 return Err(format!("unknown job-spec key `{key}`"));
             }
         }
@@ -75,14 +79,12 @@ impl JobRequest {
         let num = |key: &str| -> Result<Option<u64>, String> {
             match doc.get(key) {
                 None => Ok(None),
-                Some(v) => {
-                    v.as_u64().map(Some).ok_or(format!("`{key}` must be a non-negative integer"))
-                }
+                Some(v) => v
+                    .as_u64()
+                    .filter(|&n| n < MAX_WIRE_INT)
+                    .map(Some)
+                    .ok_or(format!("`{key}` must be a non-negative integer below 2^53")),
             }
-        };
-        let adaptive = match doc.get("adaptive") {
-            None => None,
-            Some(v) => Some(v.as_bool().ok_or("`adaptive` must be true or false")?),
         };
         Ok(JobRequest {
             artifact,
@@ -90,7 +92,6 @@ impl JobRequest {
             seed: num("seed")?,
             jobs: num("jobs")?.map(|n| n as usize),
             mp_jobs: num("mp_jobs")?.map(|n| n as usize),
-            adaptive,
         })
     }
 
@@ -110,9 +111,6 @@ impl JobRequest {
         if let Some(mp_jobs) = self.mp_jobs {
             fields.push(format!("\"mp_jobs\": {mp_jobs}"));
         }
-        if let Some(adaptive) = self.adaptive {
-            fields.push(format!("\"adaptive\": {adaptive}"));
-        }
         format!("{{{}}}\n", fields.join(", "))
     }
 
@@ -127,13 +125,21 @@ impl JobRequest {
         if let Some(seed) = self.seed {
             spec = spec.seeds([seed]);
         }
-        if let Some(mp_jobs) = self.mp_jobs {
-            spec = spec.mp_jobs(mp_jobs);
-        }
-        if let Some(adaptive) = self.adaptive {
-            spec = spec.adaptive(adaptive);
+        if self.mp_jobs.is_some() {
+            spec = spec.mp_jobs(self.host_threads().1);
         }
         Ok(spec)
+    }
+
+    /// The `(jobs, mp_jobs)` host threads granted to the request: the
+    /// cell workers first, then as many shard threads per cell as still
+    /// fit, so `jobs × mp_jobs` never exceeds [`MAX_JOBS_PER_REQUEST`].
+    /// An unset `mp_jobs` leaves the spec on its own default
+    /// (`INTERLEAVE_MP_JOBS`, else one).
+    pub fn host_threads(&self) -> (usize, usize) {
+        let jobs = self.jobs.unwrap_or(1).clamp(1, MAX_JOBS_PER_REQUEST);
+        let mp_jobs = self.mp_jobs.unwrap_or(1).clamp(1, MAX_JOBS_PER_REQUEST / jobs);
+        (jobs, mp_jobs)
     }
 }
 
@@ -285,14 +291,13 @@ mod tests {
         assert_eq!(minimal.seed, None);
         let full = request(
             r#"{"artifact": "table7", "scale": "ci", "seed": 7, "jobs": 2,
-                "mp_jobs": 4, "adaptive": false}"#,
+                "mp_jobs": 4}"#,
         )
         .unwrap();
         assert_eq!(full.scale, Some(Scale::Ci));
         assert_eq!(full.seed, Some(7));
         assert_eq!(full.jobs, Some(2));
         assert_eq!(full.mp_jobs, Some(4));
-        assert_eq!(full.adaptive, Some(false));
         // Wire round-trip: to_json parses back to the same request.
         let reparsed = request(&full.to_json()).unwrap();
         assert_eq!(reparsed, full);
@@ -305,13 +310,27 @@ mod tests {
             (r#"{"artifact": 7}"#, "artifact"),
             (r#"{"artifact": "smoke", "scale": "huge"}"#, "scale"),
             (r#"{"artifact": "smoke", "seed": -1}"#, "seed"),
-            (r#"{"artifact": "smoke", "adaptive": "maybe"}"#, "adaptive"),
+            (r#"{"artifact": "smoke", "seed": 9007199254740993}"#, "seed"),
+            (r#"{"artifact": "smoke", "adaptive": false}"#, "adaptive"),
             (r#"{"artifact": "smoke", "sede": 1}"#, "sede"),
             (r#"[1, 2]"#, "object"),
         ] {
             let err = request(body).unwrap_err();
             assert!(err.contains(needle), "`{body}` -> `{err}` should mention `{needle}`");
         }
+    }
+
+    #[test]
+    fn host_threads_are_capped_per_request() {
+        let threads = |body: &str| request(body).unwrap().host_threads();
+        assert_eq!(threads(r#"{"artifact": "table10"}"#), (1, 1));
+        assert_eq!(threads(r#"{"artifact": "table10", "jobs": 2, "mp_jobs": 4}"#), (2, 4));
+        assert_eq!(threads(r#"{"artifact": "table10", "jobs": 0, "mp_jobs": 0}"#), (1, 1));
+        // 8 cells at once, each asking for 64 spinning shard threads.
+        assert_eq!(threads(r#"{"artifact": "table10", "jobs": 8, "mp_jobs": 64}"#), (8, 1));
+        assert_eq!(threads(r#"{"artifact": "table10", "jobs": 3, "mp_jobs": 64}"#), (3, 2));
+        assert_eq!(threads(r#"{"artifact": "table10", "mp_jobs": 64}"#), (1, 8));
+        assert_eq!(threads(r#"{"artifact": "table10", "jobs": 99}"#), (8, 1));
     }
 
     #[test]

@@ -233,8 +233,7 @@ fn worker_loop(state: &Arc<ServerState>) {
 fn run_job(state: &ServerState, job: &Arc<Job>) {
     job.set_phase(JobPhase::Running);
     state.jobs_running.fetch_add(1, Ordering::Relaxed);
-    let mut runner = Runner::new(job.request.jobs.unwrap_or(1).min(job::MAX_JOBS_PER_REQUEST))
-        .with_bus(job.bus.clone());
+    let mut runner = Runner::new(job.request.host_threads().0).with_bus(job.bus.clone());
     if let Some(cache) = &state.cache {
         runner = runner.result_cache(Arc::clone(cache));
     }

@@ -158,12 +158,9 @@ fn cache_keys_discriminate_result_affecting_knobs() {
     let done = wait_done(&addr, seed_2);
     assert_eq!(field_u64(&done, "cached_cells"), 0, "a new seed must not hit the cache");
     // Bit-invisible host knobs must share entries: same seed, different
-    // worker counts and lookahead policy, full cache hit.
-    let retuned = submit(
-        &addr,
-        "{\"artifact\": \"smoke\", \"seed\": 1, \"jobs\": 2, \"mp_jobs\": 4, \
-         \"adaptive\": false}",
-    );
+    // worker counts, full cache hit.
+    let retuned =
+        submit(&addr, "{\"artifact\": \"smoke\", \"seed\": 1, \"jobs\": 2, \"mp_jobs\": 4}");
     let retuned_id = field_u64(&retuned, "id");
     let done = wait_done(&addr, retuned_id);
     assert_eq!(

@@ -8,6 +8,8 @@
 //! `http://host:port/jobs/<id>/events` stream URL, and `poll` an
 //! optional positional job id.
 
+use std::cell::RefCell;
+
 use crate::bench::{merge, Runner, Scale, Shard};
 use crate::core::Scheme;
 use crate::mp::{splash_suite, MpSim, SplashProfile};
@@ -66,10 +68,6 @@ pub enum Command {
         /// `INTERLEAVE_MP_JOBS` / serial). Purely a host-side knob:
         /// results are bit-identical at every value.
         mp_jobs: Option<usize>,
-        /// Adaptive lookahead widening for multiprocessor cells (`None`
-        /// = `INTERLEAVE_ADAPTIVE` / on). Purely a host-side knob:
-        /// results are bit-identical either way.
-        adaptive: Option<bool>,
         /// Run only one disjoint slice of the grid (`--shard K/N`;
         /// `None` = `INTERLEAVE_SHARD` / whole grid). Shard identity is
         /// stamped into the artifact names and headers for `merge`.
@@ -139,8 +137,6 @@ pub enum Command {
         jobs: Option<usize>,
         /// Host threads per multiprocessor cell (bit-invisible).
         mp_jobs: Option<usize>,
-        /// Adaptive lookahead widening (bit-invisible).
-        adaptive: Option<bool>,
         /// Poll the job to completion before exiting.
         wait: bool,
         /// Fetch the finished `BENCH_*`/`METRICS_*` artifacts into this
@@ -239,6 +235,9 @@ fn parse_scheme(value: &str) -> Result<Scheme, CliError> {
 
 struct Flags<'a> {
     pairs: Vec<(&'a str, &'a str)>,
+    /// Every name the subcommand looked up; a given flag outside this
+    /// set is one the subcommand does not take.
+    asked: RefCell<Vec<&'a str>>,
 }
 
 impl<'a> Flags<'a> {
@@ -260,11 +259,25 @@ impl<'a> Flags<'a> {
             };
             pairs.push((name, value.as_str()));
         }
-        Ok(Flags { pairs })
+        Ok(Flags { pairs, asked: RefCell::new(Vec::new()) })
     }
 
-    fn get(&self, name: &str) -> Option<&str> {
-        self.pairs.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+    fn get(&self, name: &str) -> Option<&'a str> {
+        let found = self.pairs.iter().find(|(n, _)| *n == name).copied();
+        if let Some((n, _)) = found {
+            self.asked.borrow_mut().push(n);
+        }
+        found.map(|(_, v)| v)
+    }
+
+    /// Fails on the first given flag the subcommand never looked up,
+    /// so a typo or a retired flag errors instead of being ignored.
+    fn reject_unknown(&self, sub: &str) -> Result<(), CliError> {
+        let asked = self.asked.borrow();
+        match self.pairs.iter().find(|(n, _)| !asked.contains(n)) {
+            Some((name, _)) => Err(CliError(format!("{sub} does not take --{name}"))),
+            None => Ok(()),
+        }
     }
 
     fn switch(&self, name: &str) -> bool {
@@ -306,15 +319,6 @@ impl<'a> Flags<'a> {
         }
     }
 
-    fn on_off(&self, name: &str) -> Result<Option<bool>, CliError> {
-        match self.get(name) {
-            None => Ok(None),
-            Some("on") => Ok(Some(true)),
-            Some("off") => Ok(Some(false)),
-            Some(v) => Err(CliError(format!("--{name} expects `on` or `off`, got `{v}`"))),
-        }
-    }
-
     fn shard(&self) -> Result<Option<Shard>, CliError> {
         match self.get("shard") {
             None => Ok(None),
@@ -335,9 +339,8 @@ USAGE:
   interleave-sim mp    [--app NAME] [--scheme S] [--nodes N] [--contexts N]
                        [--work N] [--seed N]
   interleave-sim sweep --artifact table7|table10|smoke [--jobs N] [--mp-jobs N]
-                       [--adaptive on|off] [--scale ci|full] [--json DIR]
-                       [--seed N] [--shard K/N] [--checkpoint-dir DIR]
-                       [--progress]
+                       [--scale ci|full] [--json DIR] [--seed N]
+                       [--shard K/N] [--checkpoint-dir DIR] [--progress]
   interleave-sim merge --out DIR SHARD_DIR [SHARD_DIR ...]
   interleave-sim profile --artifact table7|table10|smoke [--jobs N]
                        [--scale ci|full] [--json DIR] [--seed N]
@@ -346,8 +349,7 @@ USAGE:
                        [--cache-dir DIR] [--status-dir DIR]
   interleave-sim submit --artifact table7|table10|smoke [--addr HOST:PORT]
                        [--scale ci|full] [--seed N] [--jobs N] [--mp-jobs N]
-                       [--adaptive on|off] [--wait] [--json DIR]
-                       [--timeout-secs N]
+                       [--wait] [--json DIR] [--timeout-secs N]
   interleave-sim poll  [JOB_ID] [--addr HOST:PORT] [--stats]
   interleave-sim watch STATUS_FILE_OR_EVENTS_URL [--once] [--interval-ms N]
                        [--timeout-secs N]
@@ -377,12 +379,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             return Err(CliError("watch requires a status-file path".into()));
         };
         let flags = Flags::parse(&args[2..], &["once"])?;
-        return Ok(Command::Watch {
+        let command = Command::Watch {
             file: file.clone(),
             once: flags.switch("once"),
             interval_ms: flags.num("interval-ms", 250)?,
             timeout_secs: flags.opt_num("timeout-secs")?,
-        });
+        };
+        flags.reject_unknown(sub)?;
+        return Ok(command);
     }
     // `merge` takes its shard directories as positional arguments, so
     // it is also parsed before the generic `--flag value` loop.
@@ -420,14 +424,16 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             None => (None, &args[1..]),
         };
         let flags = Flags::parse(rest, &["stats"])?;
-        return Ok(Command::Poll {
+        let command = Command::Poll {
             addr: flags.get("addr").map(str::to_string),
             id,
             stats: flags.switch("stats"),
-        });
+        };
+        flags.reject_unknown(sub)?;
+        return Ok(command);
     }
     let flags = Flags::parse(&args[1..], &["progress", "wait"])?;
-    match sub.as_str() {
+    let command = match sub.as_str() {
         "uni" => Ok(Command::Uni {
             workload: flags.get("workload").unwrap_or("FP").to_string(),
             scheme: flags.scheme(Scheme::Interleaved)?,
@@ -453,7 +459,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             json: flags.get("json").map(str::to_string),
             seed: flags.opt_num("seed")?,
             mp_jobs: flags.opt_num("mp-jobs")?.map(|n| n as usize),
-            adaptive: flags.on_off("adaptive")?,
             shard: flags.shard()?,
             checkpoint_dir: flags.get("checkpoint-dir").map(str::to_string),
             progress: flags.switch("progress"),
@@ -503,7 +508,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             seed: flags.opt_num("seed")?,
             jobs: flags.opt_num("jobs")?.map(|n| n as usize),
             mp_jobs: flags.opt_num("mp-jobs")?.map(|n| n as usize),
-            adaptive: flags.on_off("adaptive")?,
             wait: flags.switch("wait"),
             json: flags.get("json").map(str::to_string),
             timeout_secs: flags.num("timeout-secs", 600)?,
@@ -511,7 +515,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "list" => Ok(Command::List),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(CliError(format!("unknown subcommand `{other}` (try `help`)"))),
-    }
+    }?;
+    flags.reject_unknown(sub)?;
+    Ok(command)
 }
 
 fn find_workload(name: &str) -> Result<Workload, CliError> {
@@ -691,7 +697,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             json,
             seed,
             mp_jobs,
-            adaptive,
             shard,
             checkpoint_dir,
             progress,
@@ -703,9 +708,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             }
             if let Some(mp_jobs) = mp_jobs {
                 spec = spec.mp_jobs(mp_jobs);
-            }
-            if let Some(adaptive) = adaptive {
-                spec = spec.adaptive(adaptive);
             }
             // `from_env` first so `INTERLEAVE_PROGRESS` / `INTERLEAVE_STATUS`
             // (and the shard/checkpoint env knobs) apply even when flags
@@ -890,7 +892,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
             seed,
             jobs,
             mp_jobs,
-            adaptive,
             wait,
             json,
             timeout_secs,
@@ -902,7 +903,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
                 seed,
                 jobs,
                 mp_jobs,
-                adaptive,
             };
             let started = std::time::Instant::now();
             let response = crate::server::client::post(&addr, "/jobs", &request.to_json())
@@ -1263,14 +1263,18 @@ mod tests {
         assert!(parse(&argv("sweep --artifact table7 --scale huge")).is_err());
         assert!(parse(&argv("sweep --artifact table7 --jobs x")).is_err());
         assert!(parse(&argv("sweep --artifact table10 --mp-jobs x")).is_err());
-        assert!(parse(&argv("sweep --artifact table10 --adaptive maybe")).is_err());
+        let err = parse(&argv("sweep --artifact table10 --adaptive off")).unwrap_err();
+        assert_eq!(err.0, "sweep does not take --adaptive");
+        assert!(parse(&argv("uni --wait")).is_err(), "switches are per subcommand too");
+        assert!(parse(&argv("watch STATUS.json --frob 1")).is_err());
+        assert!(parse(&argv("poll 3 --frob 1")).is_err());
     }
 
     #[test]
     fn parses_sweep() {
         let cmd = parse(&argv(
             "sweep --artifact table7 --jobs 4 --scale ci --json out --seed 9 --mp-jobs 2 \
-             --adaptive off --progress",
+             --progress",
         ))
         .unwrap();
         assert_eq!(
@@ -1282,13 +1286,12 @@ mod tests {
                 json: Some("out".into()),
                 seed: Some(9),
                 mp_jobs: Some(2),
-                adaptive: Some(false),
                 shard: None,
                 checkpoint_dir: None,
                 progress: true,
             }
         );
-        match parse(&argv("sweep --artifact table10 --adaptive on")).unwrap() {
+        match parse(&argv("sweep --artifact table10")).unwrap() {
             Command::Sweep {
                 artifact,
                 jobs,
@@ -1296,7 +1299,6 @@ mod tests {
                 json,
                 seed,
                 mp_jobs,
-                adaptive,
                 shard,
                 checkpoint_dir,
                 progress,
@@ -1307,7 +1309,6 @@ mod tests {
                 assert_eq!(json, None);
                 assert_eq!(seed, None);
                 assert_eq!(mp_jobs, None);
-                assert_eq!(adaptive, Some(true));
                 assert_eq!(shard, None);
                 assert_eq!(checkpoint_dir, None);
                 assert!(!progress);
@@ -1450,14 +1451,14 @@ mod tests {
                 seed: Some(7),
                 jobs: None,
                 mp_jobs: None,
-                adaptive: None,
                 wait: true,
                 json: Some("out".into()),
                 timeout_secs: 30,
             }
         );
         assert!(parse(&argv("submit")).is_err(), "submit needs --artifact");
-        assert!(parse(&argv("submit --artifact smoke --adaptive maybe")).is_err());
+        let err = parse(&argv("submit --artifact smoke --adaptive off")).unwrap_err();
+        assert_eq!(err.0, "submit does not take --adaptive");
         assert_eq!(
             parse(&argv("poll 3 --addr a:1")).unwrap(),
             Command::Poll { addr: Some("a:1".into()), id: Some(3), stats: false }
@@ -1497,7 +1498,6 @@ mod tests {
                 seed: Some(11),
                 jobs: Some(1),
                 mp_jobs: None,
-                adaptive: None,
                 wait: true,
                 json: Some(out.to_string_lossy().into_owned()),
                 timeout_secs: 120,
@@ -1648,7 +1648,6 @@ mod tests {
             json: None,
             seed: None,
             mp_jobs: None,
-            adaptive: None,
             shard: None,
             checkpoint_dir: None,
             progress: false,

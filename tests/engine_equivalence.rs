@@ -3,12 +3,9 @@
 //! instantiate the engine's event queue, idle-bound authority, message
 //! router, and quantum-barrier schedule instead of bespoke copies. These
 //! tests pin the pre-extraction golden values and require the
-//! engine-backed drivers to reproduce them exactly — with the adaptive
-//! lookahead widening both off (the historical fixed schedule) and on
-//! (the default), at every worker count, down to the serialized metrics
-//! artifact bytes.
+//! engine-backed drivers to reproduce them exactly, at every worker
+//! count.
 
-use interleave::bench::{ExperimentSpec, Runner, Scale};
 use interleave::core::Scheme;
 use interleave::mp::{splash_suite, MpSim};
 use interleave::stats::{Breakdown, Category};
@@ -61,65 +58,30 @@ fn engine_backed_uni_driver_reproduces_seed_goldens() {
 }
 
 /// The multiprocessor lockstep loop now runs on the engine's
-/// `QuantumSchedule`. With adaptive widening disabled it must replay the
-/// seed's fixed 80-cycle barrier schedule bit for bit; with it enabled
-/// (the default) the widened schedule must still land on the same
-/// numbers, serially and at every worker count.
+/// `QuantumSchedule`. It must replay the seed's fixed 80-cycle barrier
+/// schedule bit for bit, serially and at every worker count.
 #[test]
 fn engine_backed_mp_driver_reproduces_seed_goldens() {
-    let run = |adaptive: bool, jobs: usize| {
+    let run = |jobs: usize| {
         MpSim::builder(splash_suite()[0].clone())
             .scheme(Scheme::Interleaved)
             .nodes(4)
             .contexts(2)
             .work(12_000)
             .warmup(500)
-            .adaptive(adaptive)
             .mp_jobs(jobs)
             .build()
             .run()
     };
-    let fixed = run(false, 1);
-    assert_eq!(fixed.cycles, 28_160);
+    let golden = run(1);
+    assert_eq!(golden.cycles, 28_160);
     assert_breakdown(
         "mp splash0/interleaved/4x2",
-        &fixed.breakdown,
+        &golden.breakdown,
         [12_626, 5_983, 1_460, 0, 81_550, 0, 11_021],
     );
-    for adaptive in [false, true] {
-        for jobs in [1, 2, 4] {
-            let got = run(adaptive, jobs);
-            assert_eq!(
-                fixed, got,
-                "engine schedule (adaptive={adaptive}, mp_jobs={jobs}) diverged from the golden run"
-            );
-        }
+    for jobs in [2, 4] {
+        let got = run(jobs);
+        assert_eq!(golden, got, "engine schedule (mp_jobs={jobs}) diverged from the golden run");
     }
-}
-
-/// Sweep-level gate: a grid run with adaptive widening forced off must
-/// reproduce the default (adaptive) grid cell for cell, down to the
-/// serialized metrics artifact bytes — the widened schedule is a pure
-/// host optimization.
-#[test]
-fn adaptive_schedule_produces_byte_identical_metrics_artifacts() {
-    let grid = |adaptive: bool| {
-        let spec = ExperimentSpec::new("engine_equivalence", Scale::Ci)
-            .uni(mixes::ic())
-            .mp(splash_suite()[0].clone())
-            .contexts([2, 4])
-            .quota(2_000)
-            .work(12_000)
-            .warmup(500)
-            .adaptive(adaptive);
-        Runner::new(2).run(&spec)
-    };
-    let on = grid(true);
-    let off = grid(false);
-    assert!(on.results_match(&off), "adaptive widening changed sweep results");
-    assert_eq!(
-        on.metrics_json(),
-        off.metrics_json(),
-        "METRICS artifact must be byte-identical with adaptive widening on or off"
-    );
 }
