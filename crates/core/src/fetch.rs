@@ -1,4 +1,4 @@
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use interleave_isa::Instr;
@@ -83,7 +83,9 @@ impl InstrSource for VecSource {
 /// a squash simply rolls the fetch cursor back to the oldest squashed
 /// index. Because integer and FP instructions retire up to two cycles
 /// apart, retirement may arrive out of index order; the buffer only
-/// releases a contiguous retired prefix.
+/// releases a contiguous retired prefix. Retired flags ride in a deque
+/// parallel to the buffer, so marking, skipping, and releasing are all
+/// O(1) per instruction.
 ///
 /// The unit eagerly normalizes after every mutation (cursor clamped past
 /// the retired prefix, buffer filled through the cursor), so the hot
@@ -99,8 +101,11 @@ pub struct FetchUnit {
     base: u64,
     /// Index of the next instruction to fetch.
     cursor: u64,
-    /// Out-of-order retired indices not yet absorbed into `base`.
-    retired: BTreeSet<u64>,
+    /// `retired[i]` marks the instruction at `base + i` retired but not
+    /// yet absorbed into `base` (always as long as `buffer`).
+    retired: VecDeque<bool>,
+    /// Number of set flags in `retired`.
+    retired_count: u64,
     /// Set once the source reports end of stream.
     exhausted: bool,
     /// Reused staging area for batched refills.
@@ -132,7 +137,8 @@ impl FetchUnit {
             buffer: VecDeque::new(),
             base: 0,
             cursor: 0,
-            retired: BTreeSet::new(),
+            retired: VecDeque::new(),
+            retired_count: 0,
             exhausted: false,
             scratch: Vec::with_capacity(REFILL_RUN),
         };
@@ -149,7 +155,7 @@ impl FetchUnit {
     /// exhausted.
     fn normalize(&mut self) {
         self.cursor = self.cursor.max(self.base);
-        while self.retired.contains(&self.cursor) {
+        while self.is_retired(self.cursor) {
             self.cursor += 1;
         }
         while !self.exhausted && self.base + self.buffer.len() as u64 <= self.cursor {
@@ -163,10 +169,17 @@ impl FetchUnit {
             self.scratch.clear();
             let got = self.source.next_run(&mut self.scratch, want);
             self.buffer.extend(self.scratch.drain(..));
+            self.retired.resize(self.buffer.len(), false);
             if got < want {
                 self.exhausted = true;
             }
         }
+    }
+
+    /// Whether the buffered instruction at `index` retired out of order
+    /// (false past the buffer's end).
+    fn is_retired(&self, index: u64) -> bool {
+        self.retired.get((index - self.base) as usize).copied().unwrap_or(false)
     }
 
     /// The instruction at the fetch cursor. `None` once the stream is
@@ -224,11 +237,15 @@ impl FetchUnit {
     pub fn retire(&mut self, index: u64) {
         assert!(index >= self.base, "double retirement of index {index}");
         assert!(index < self.cursor, "retiring unfetched index {index}");
-        let inserted = self.retired.insert(index);
-        assert!(inserted, "double retirement of index {index}");
-        while self.retired.remove(&self.base) {
+        let flag = &mut self.retired[(index - self.base) as usize];
+        assert!(!*flag, "double retirement of index {index}");
+        *flag = true;
+        self.retired_count += 1;
+        while self.retired.front() == Some(&true) {
+            self.retired.pop_front();
             self.buffer.pop_front();
             self.base += 1;
+            self.retired_count -= 1;
         }
         self.normalize();
     }
@@ -241,7 +258,7 @@ impl FetchUnit {
 
     /// Number of fetched-but-unretired instructions.
     pub fn outstanding(&self) -> u64 {
-        (self.cursor - self.base).saturating_sub(self.retired.len() as u64)
+        (self.cursor - self.base).saturating_sub(self.retired_count)
     }
 }
 

@@ -574,14 +574,26 @@ impl<P: SystemPort> Processor<P> {
     /// How long the processor will stay idle, or `None` if it can make
     /// progress this cycle.
     ///
-    /// Idle means: nothing in the issue window, nothing in the front end,
-    /// and no attached context able to fetch — every context is waiting
-    /// or has completed its stream, or instruction fetch itself is
-    /// stalled on a miss (which blocks every context until it clears).
-    /// Until the returned bound, a tick can only charge one bubble cycle,
-    /// so [`Processor::skip_idle_to`] may fast-forward there with
-    /// bit-identical results.
+    /// Two states count as idle:
+    ///
+    /// * An empty pipe: nothing in the issue window, nothing in the front
+    ///   end, and no attached context able to fetch — every context is
+    ///   waiting or has completed its stream, or instruction fetch itself
+    ///   is stalled on a miss (which blocks every context until it
+    ///   clears). Until the bound, a tick can only charge one bubble
+    ///   cycle.
+    /// * A repeated RF stall: the RF holds a right-path instruction that
+    ///   already stalled last cycle (its category is cached) and cannot
+    ///   issue for at least two more cycles. Until the bound — the issue
+    ///   cycle, the next due event, or the next window retirement — a
+    ///   tick can only charge that category again.
+    ///
+    /// Either way [`Processor::skip_idle_to`] may fast-forward to the
+    /// bound with bit-identical results.
     pub fn idle_bound(&self) -> Option<IdleBound> {
+        if let Some(bound) = self.stall_bound() {
+            return Some(IdleBound::Until(bound));
+        }
         if !self.window.is_empty() || self.front.occupancy() != 0 {
             return None;
         }
@@ -623,6 +635,34 @@ impl<P: SystemPort> Processor<P> {
         })
     }
 
+    /// The bound of a repeated RF stall, if one is in progress: the RF
+    /// holds a right-path instruction whose stall category was already
+    /// classified on an earlier cycle, and it cannot enter EX before
+    /// `earliest_issue`. Until the first of the cycle it issues in, the
+    /// next due event, and the next window retirement, every tick
+    /// re-charges that category and changes nothing else but context
+    /// wakes — which only read `now`, so they can be applied at the end
+    /// of a skip. `None` when that bound is not past `now`.
+    fn stall_bound(&self) -> Option<u64> {
+        self.rf_stall_class?;
+        let FrontSlot::Instr(slot) = self.front.rf() else {
+            return None;
+        };
+        if slot.wrong_path {
+            return None;
+        }
+        let ex = self.now + 1;
+        let earliest = self.scoreboard.earliest_issue(slot.ctx, &slot.instr, &self.cfg.timing, ex);
+        let mut bound = earliest - 1;
+        if let Some(due) = self.events.next_due() {
+            bound = bound.min(due);
+        }
+        if let Some(retire) = self.window.next_retire() {
+            bound = bound.min(retire);
+        }
+        (bound > self.now).then_some(bound)
+    }
+
     /// Where to fast-forward to within a run bounded by `end`, if idle
     /// skipping is enabled, possible, and worth more than a plain tick.
     fn skip_target(&self, end: u64) -> Option<u64> {
@@ -641,7 +681,11 @@ impl<P: SystemPort> Processor<P> {
     /// categories, same drained-cycle count, same front-end bubble
     /// counters, same trace.
     ///
-    /// The bulk path applies only while the trace is off and the front
+    /// A repeated RF stall is charged in one step, and the context wakes
+    /// the skipped ticks would have applied are applied as of the last
+    /// skipped cycle (`target - 1`), so they land before `target`'s
+    /// events exactly as they would cycle by cycle. For an empty pipe
+    /// the bulk path applies only while the trace is off and the front
     /// end is uniformly filled with the bubble cause that would be
     /// fetched anyway (so shifting is the identity); otherwise it falls
     /// back to plain ticks, which the idle precondition makes cheap.
@@ -664,6 +708,16 @@ impl<P: SystemPort> Processor<P> {
             },
             "skip_idle_to past the idle bound"
         );
+        if let (Some(category), FrontSlot::Instr(slot)) = (self.rf_stall_class, *self.front.rf()) {
+            let n = target - self.now;
+            self.breakdown.record(category, n);
+            if let Some(trace) = self.trace.as_mut() {
+                let record = IssueRecord::Stalled { ctx: slot.ctx, category };
+                trace.extend(std::iter::repeat_n(record, n as usize));
+            }
+            self.now = target;
+            self.wake_contexts(target - 1);
+        }
         while self.now < target {
             let now = self.now;
             let stalled = self.fetch_stall_until > now;

@@ -47,7 +47,8 @@ mod router;
 mod time;
 
 pub use driver::{
-    lock, read_lock, run_sharded, write_lock, Abort, Hooks, QuantumSchedule, Segment, Shard,
+    lock, read_lock, run_sharded, write_lock, Abort, Executor, Hooks, QuantumSchedule, Segment,
+    Shard,
 };
 pub use queue::{EventQueue, Sequenced};
 pub use router::{Inbox, Msg, MsgKey};

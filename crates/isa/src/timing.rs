@@ -89,8 +89,10 @@ impl TimingModel {
         self.entries[Self::slot(op)] = timing;
     }
 
+    /// Table index of `op`: `Op::ALL` lists the variants in declaration
+    /// order, so the discriminant is the position (pinned by a unit test).
     fn slot(op: Op) -> usize {
-        Op::ALL.iter().position(|&o| o == op).expect("Op::ALL is exhaustive")
+        op as usize
     }
 }
 
@@ -156,6 +158,13 @@ mod tests {
     #[should_panic]
     fn zero_timing_rejected() {
         let _ = OpTiming::new(0, 1);
+    }
+
+    #[test]
+    fn discriminant_is_the_table_slot() {
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{op} is out of declaration order in Op::ALL");
+        }
     }
 
     #[test]

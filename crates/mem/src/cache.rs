@@ -64,7 +64,9 @@ impl DirectCache {
         addr >> self.line_shift << self.line_shift
     }
 
-    fn index(&self, addr: u64) -> usize {
+    /// The set (frame) the line containing `addr` maps to, in
+    /// `0..sets()`.
+    pub fn set_index(&self, addr: u64) -> usize {
         ((addr >> self.line_shift) & self.index_mask) as usize
     }
 
@@ -74,13 +76,13 @@ impl DirectCache {
 
     /// Whether `addr` currently hits.
     pub fn probe(&self, addr: u64) -> bool {
-        self.tags[self.index(addr)] == Some(self.tag(addr))
+        self.tags[self.set_index(addr)] == Some(self.tag(addr))
     }
 
     /// Installs the line containing `addr`, optionally marking it dirty,
     /// and returns the evicted line if one was displaced.
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<Writeback> {
-        let index = self.index(addr);
+        let index = self.set_index(addr);
         let new_tag = self.tag(addr);
         let evicted = self.tags[index].and_then(|old_tag| {
             if old_tag == new_tag {
@@ -98,7 +100,7 @@ impl DirectCache {
 
     /// Whether the line containing `addr` is present and dirty.
     pub fn is_dirty(&self, addr: u64) -> bool {
-        self.probe(addr) && self.dirty[self.index(addr)]
+        self.probe(addr) && self.dirty[self.set_index(addr)]
     }
 
     /// Marks the line containing `addr` dirty.
@@ -108,14 +110,14 @@ impl DirectCache {
     /// Panics if the line is not present.
     pub fn mark_dirty(&mut self, addr: u64) {
         assert!(self.probe(addr), "cannot dirty a line that is not cached");
-        let index = self.index(addr);
+        let index = self.set_index(addr);
         self.dirty[index] = true;
     }
 
     /// Removes the line containing `addr` if present; returns whether it
     /// was present.
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let index = self.index(addr);
+        let index = self.set_index(addr);
         if self.tags[index] == Some(self.tag(addr)) {
             self.tags[index] = None;
             self.dirty[index] = false;

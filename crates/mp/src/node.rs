@@ -14,8 +14,7 @@
 //! in which it was generated — the conservative guarantee that makes the
 //! parallel schedule independent of host thread interleaving.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use interleave_core::{DataOutcome, InstOutcome, SyncOutcome, SystemPort};
 use interleave_engine::Inbox;
@@ -94,8 +93,9 @@ pub(crate) struct TxnRecord {
 
 /// One node's mutable state: cache, port, home-side synchronization
 /// shard, message queues, and the transaction log of the current
-/// quantum. Locked per shard — the driver only touches it at barriers
-/// (and for the done-check), the owning worker on every cycle.
+/// quantum. Owned by the node's [`ShardPort`]: the worker advancing the
+/// node reaches it directly on every cycle, the driver only at barriers
+/// (when the engine lends it every parked shard), so it needs no lock.
 #[derive(Debug)]
 pub(crate) struct ShardState {
     node: usize,
@@ -112,15 +112,17 @@ pub(crate) struct ShardState {
     pub(crate) txns: Vec<TxnRecord>,
     seq: u64,
     draws: u64,
-    /// Last cycle each line was (re)filled or upgraded locally; an
-    /// incoming invalidation older than the stamp is stale.
-    fill_stamp: HashMap<u64, u64>,
+    /// Cycle of the latest local fill or upgrade, per cache frame; an
+    /// incoming coherence effect older than the stamp is stale. One
+    /// stamp per frame suffices because the stamp matters only for a
+    /// resident line (an invalidation of an absent line is a no-op, a
+    /// downgrade probes first), and a resident line's latest transaction
+    /// is always the latest one in its frame: only a transaction can
+    /// install a line, and it stamps the frame it installs into.
+    fill_stamp: Vec<u64>,
     sync_pending: Vec<Option<SyncRef>>,
     sync_token: Vec<Option<SyncRef>>,
     sync_done: Vec<Option<SyncRef>>,
-    /// Retired-instruction counts published by the owning worker at each
-    /// segment end (the driver's done-check reads these at barriers).
-    pub(crate) retired: Vec<u64>,
     /// Sampled unloaded latency per miss class, indexed by
     /// [`MissClass::index`].
     pub(crate) latencies: [Histogram; 4],
@@ -134,10 +136,12 @@ impl ShardState {
     /// contexts per node and `threads` total threads, with cross-node
     /// message latency `hop`.
     pub(crate) fn new(node: usize, contexts: usize, threads: u32, hop: u64) -> ShardState {
+        let cache = DirectCache::new(CacheParams::primary_data());
         ShardState {
             node,
             hop,
-            cache: DirectCache::new(CacheParams::primary_data()),
+            fill_stamp: vec![0; cache.sets()],
+            cache,
             port: Resource::new(),
             sync: SyncShard::new(threads),
             inbox: Inbox::new(),
@@ -145,11 +149,9 @@ impl ShardState {
             txns: Vec::new(),
             seq: 0,
             draws: 0,
-            fill_stamp: HashMap::new(),
             sync_pending: vec![None; contexts],
             sync_token: vec![None; contexts],
             sync_done: vec![None; contexts],
-            retired: vec![0; contexts],
             latencies: Default::default(),
             mlp_outstanding: Vec::new(),
             mlp_accum: (0, 0),
@@ -208,12 +210,12 @@ impl ShardState {
         }
     }
 
-    /// Whether the line holding `addr` was locally filled or upgraded at
-    /// or after `txn_cycle` — in which case a coherence effect of that
-    /// older transaction is stale and must not be applied.
+    /// Whether the frame holding `addr` was locally filled or upgraded
+    /// at or after `txn_cycle` — in which case a coherence effect of that
+    /// older transaction on a resident line is stale and must not be
+    /// applied. Meaningful only while the line is resident.
     fn refilled_since(&self, addr: u64, txn_cycle: u64) -> bool {
-        let line = self.cache.line_addr(addr);
-        self.fill_stamp.get(&line).is_some_and(|&stamp| stamp >= txn_cycle)
+        self.fill_stamp[self.cache.set_index(addr)] >= txn_cycle
     }
 
     /// Turns controller grants into tokens: a token for one of this
@@ -235,8 +237,8 @@ impl ShardState {
 }
 
 /// One node's view of the machine: implements [`SystemPort`] for the
-/// node's processor over its own shard plus the read-frozen master
-/// directory.
+/// node's processor over the node's own [`ShardState`] plus the
+/// read-frozen master directory.
 ///
 /// The instruction cache is ideal (100% hit rate, paper Section 5.2), and
 /// TLBs are not modeled in the multiprocessor study.
@@ -247,29 +249,39 @@ pub(crate) struct ShardPort {
     hop: u64,
     seed: u64,
     latency: LatencyModel,
-    state: Arc<Mutex<ShardState>>,
+    /// The node's state, reached by the driver only at barriers.
+    pub(crate) state: ShardState,
     master: Arc<RwLock<Directory>>,
 }
 
 impl ShardPort {
-    /// Creates node `node`'s port.
+    /// Creates node `node`'s port (and its [`ShardState`]) for a machine
+    /// of `nodes` nodes with `contexts` hardware contexts each.
     pub(crate) fn new(
         node: usize,
         nodes: usize,
+        contexts: usize,
         seed: u64,
         latency: LatencyModel,
-        state: Arc<Mutex<ShardState>>,
         master: Arc<RwLock<Directory>>,
     ) -> ShardPort {
         latency.validate();
-        ShardPort { node, nodes, hop: latency.lookahead(), seed, latency, state, master }
+        let hop = latency.lookahead();
+        let threads = (nodes * contexts) as u32;
+        let state = ShardState::new(node, contexts, threads, hop);
+        ShardPort { node, nodes, hop, seed, latency, state, master }
+    }
+}
+
+impl AsMut<ShardState> for ShardPort {
+    fn as_mut(&mut self) -> &mut ShardState {
+        &mut self.state
     }
 }
 
 impl SystemPort for ShardPort {
     fn data(&mut self, lookup_start: u64, addr: u64, kind: Access, _ctx: usize) -> DataOutcome {
-        let mut guard = self.state.lock().expect("shard state");
-        let st = &mut *guard;
+        let st = &mut self.state;
         let cached = st.cache.probe(addr);
         match kind {
             Access::Read if cached => return DataOutcome::Hit,
@@ -299,8 +311,7 @@ impl SystemPort for ShardPort {
         } else {
             st.cache.fill(addr, kind == Access::Write).map(|v| (v.addr, v.dirty))
         };
-        let line = st.cache.line_addr(addr);
-        st.fill_stamp.insert(line, lookup_start);
+        st.fill_stamp[st.cache.set_index(addr)] = lookup_start;
         let seq = st.next_seq();
         st.txns.push(TxnRecord {
             cycle: lookup_start,
@@ -350,8 +361,7 @@ impl SystemPort for ShardPort {
     }
 
     fn sync(&mut self, now: u64, ctx: usize, op: SyncRef) -> SyncOutcome {
-        let mut guard = self.state.lock().expect("shard state");
-        let st = &mut *guard;
+        let st = &mut self.state;
         if st.sync_done[ctx] == Some(op) {
             // Squashed and re-executed after completing: idempotent, like
             // the serial controller's re-acquire of a held lock.
@@ -407,20 +417,22 @@ impl SystemPort for ShardPort {
 /// into effect messages (due one hop after the causing transaction), and
 /// routes everything to the destination inboxes.
 ///
-/// `eff_seq` is the persistent sequence counter of the effect lanes; it
-/// must live across barriers so effect keys never repeat while earlier
-/// effects are still queued.
+/// `shards` holds every node's state in node order (anything that lends
+/// one: the engine passes the parked node shards, the unit tests their
+/// ports). `eff_seq` is the persistent sequence counter of the effect
+/// lanes; it must live across barriers so effect keys never repeat
+/// while earlier effects are still queued.
 pub(crate) fn barrier_exchange(
     master: &RwLock<Directory>,
-    states: &[Arc<Mutex<ShardState>>],
+    shards: &mut [impl AsMut<ShardState>],
     hop: u64,
     eff_seq: &mut u64,
 ) {
-    let nodes = states.len();
+    let nodes = shards.len();
     let mut txns: Vec<(usize, TxnRecord)> = Vec::new();
     let mut routed: Vec<Msg> = Vec::new();
-    for (node, state) in states.iter().enumerate() {
-        let mut st = state.lock().expect("shard state");
+    for (node, shard) in shards.iter_mut().enumerate() {
+        let st = shard.as_mut();
         txns.extend(st.txns.drain(..).map(|t| (node, t)));
         routed.append(&mut st.outbox);
     }
@@ -458,7 +470,7 @@ pub(crate) fn barrier_exchange(
         }
     }
     for msg in routed {
-        states[msg.dst].lock().expect("shard state").enqueue(msg);
+        shards[msg.dst].as_mut().enqueue(msg);
     }
 }
 
@@ -466,9 +478,10 @@ pub(crate) fn barrier_exchange(
 mod tests {
     use super::*;
 
+    /// The machine-level half of a test machine; the nodes are the
+    /// ports [`Machine::new`] returns beside it, each owning its state.
     struct Machine {
         master: Arc<RwLock<Directory>>,
-        states: Vec<Arc<Mutex<ShardState>>>,
         eff_seq: u64,
         hop: u64,
     }
@@ -478,26 +491,23 @@ mod tests {
             let hop = latency.lookahead();
             let params = CacheParams::primary_data();
             let master = Arc::new(RwLock::new(Directory::new(nodes, params.line)));
-            let states: Vec<_> = (0..nodes)
-                .map(|n| Arc::new(Mutex::new(ShardState::new(n, 1, nodes as u32, hop))))
-                .collect();
             let ports = (0..nodes)
-                .map(|n| ShardPort::new(n, nodes, 1, latency, states[n].clone(), master.clone()))
+                .map(|n| ShardPort::new(n, nodes, 1, 1, latency, master.clone()))
                 .collect();
-            (Machine { master, states, eff_seq: 0, hop }, ports)
+            (Machine { master, eff_seq: 0, hop }, ports)
         }
 
-        fn exchange(&mut self) {
-            barrier_exchange(&self.master, &self.states, self.hop, &mut self.eff_seq);
+        fn exchange(&mut self, ports: &mut [ShardPort]) {
+            barrier_exchange(&self.master, ports, self.hop, &mut self.eff_seq);
         }
+    }
 
-        /// Delivers everything due up to `now` on `node`, returning the
-        /// contexts to wake.
-        fn deliver(&self, node: usize, now: u64) -> Vec<usize> {
-            let mut wakes = Vec::new();
-            self.states[node].lock().unwrap().deliver_due(now, &mut wakes);
-            wakes
-        }
+    /// Delivers everything due up to `now` on `port`'s node, returning
+    /// the contexts to wake.
+    fn deliver(port: &mut ShardPort, now: u64) -> Vec<usize> {
+        let mut wakes = Vec::new();
+        port.state.deliver_due(now, &mut wakes);
+        wakes
     }
 
     fn dash() -> LatencyModel {
@@ -541,7 +551,7 @@ mod tests {
     fn dirty_remote_intervention_after_exchange() {
         let (mut m, mut ports) = Machine::new(4, dash());
         ports[0].data(0, 0x00, Access::Write, 0);
-        m.exchange(); // master learns node 0's exclusive copy
+        m.exchange(&mut ports); // master learns node 0's exclusive copy
         match ports[1].data(100, 0x00, Access::Read, 0) {
             DataOutcome::Stall { ready_at } => {
                 let lat = ready_at - 100;
@@ -549,11 +559,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        m.exchange(); // replay node 1's read
+        m.exchange(&mut ports); // replay node 1's read
         assert_eq!(m.master.read().unwrap().stats().remote_cache, 1);
         // The read intervention downgraded node 0's copy in place.
-        let st0 = m.states[0].lock().unwrap();
-        assert!(st0.cache.probe(0x00));
+        assert!(ports[0].state.cache.probe(0x00));
     }
 
     #[test]
@@ -561,16 +570,16 @@ mod tests {
         let (mut m, mut ports) = Machine::new(2, dash());
         ports[0].data(0, 0x40, Access::Read, 0);
         ports[1].data(0, 0x40, Access::Read, 0);
-        m.exchange();
+        m.exchange(&mut ports);
         // Node 1 writes its shared copy: an upgrade whose invalidation
         // reaches node 0 as a message one hop later.
         match ports[1].data(200, 0x40, Access::Write, 0) {
             DataOutcome::Stall { .. } => {}
             other => panic!("upgrade with another sharer cannot be free, got {other:?}"),
         }
-        m.exchange();
-        m.deliver(0, 200 + m.hop);
-        assert!(!m.states[0].lock().unwrap().cache.probe(0x40));
+        m.exchange(&mut ports);
+        deliver(&mut ports[0], 200 + m.hop);
+        assert!(!ports[0].state.cache.probe(0x40));
         match ports[0].data(500, 0x40, Access::Read, 0) {
             DataOutcome::Stall { .. } => {}
             other => panic!("node 0 should re-miss after invalidation, got {other:?}"),
@@ -596,13 +605,13 @@ mod tests {
         let (mut m, mut ports) = Machine::new(2, dash());
         ports[0].data(0, 0x40, Access::Read, 0);
         ports[1].data(0, 0x40, Access::Read, 0);
-        m.exchange();
+        m.exchange(&mut ports);
         // Node 0 writes its cached shared copy: an upgrade, not a refill.
         match ports[0].data(500, 0x40, Access::Write, 0) {
             DataOutcome::Stall { ready_at } => assert!(ready_at > 500),
             DataOutcome::Hit => panic!("upgrade with other sharers cannot be free"),
         }
-        m.exchange();
+        m.exchange(&mut ports);
         let dir = m.master.read().unwrap();
         assert_eq!(dir.stats().upgrades, 1);
         assert_eq!(dir.stats().invalidations, 1);
@@ -613,20 +622,44 @@ mod tests {
         let (mut m, mut ports) = Machine::new(2, dash());
         ports[0].data(0, 0x40, Access::Read, 0);
         ports[1].data(0, 0x40, Access::Read, 0);
-        m.exchange();
+        m.exchange(&mut ports);
         // Node 1 upgrades at cycle 100; in the same quantum node 0 drops
         // and refills the line at cycle 150 (after the causing write).
         ports[1].data(100, 0x40, Access::Write, 0);
-        {
-            let mut st0 = m.states[0].lock().unwrap();
-            st0.cache.invalidate(0x40);
-        }
+        ports[0].state.cache.invalidate(0x40);
         ports[0].data(150, 0x40, Access::Read, 0);
-        m.exchange();
-        m.deliver(0, 100 + m.hop);
+        m.exchange(&mut ports);
+        deliver(&mut ports[0], 100 + m.hop);
         // The invalidation (txn cycle 100) is stale against the refill
         // stamp (150): node 0 keeps the copy the master now tracks.
-        assert!(m.states[0].lock().unwrap().cache.probe(0x40));
+        assert!(ports[0].state.cache.probe(0x40));
+    }
+
+    #[test]
+    fn conflicting_refill_restamps_the_frame() {
+        let (mut m, mut ports) = Machine::new(2, dash());
+        let sets = ports[0].state.cache.sets() as u64;
+        let line = ports[0].state.cache.params().line;
+        let (a, b) = (0x40, 0x40 + sets * line); // same frame, different lines
+        ports[0].data(0, a, Access::Read, 0);
+        ports[1].data(0, a, Access::Read, 0);
+        m.exchange(&mut ports);
+        // Node 1's upgrade at cycle 100 will invalidate node 0's copy of
+        // `a`; node 0 meanwhile displaces `a` with `b` at 150 and
+        // re-fetches `a` at 300, stamping the frame each time.
+        ports[1].data(100, a, Access::Write, 0);
+        ports[0].data(150, b, Access::Read, 0);
+        ports[0].data(300, a, Access::Read, 0);
+        m.exchange(&mut ports);
+        deliver(&mut ports[0], 100 + m.hop);
+        assert!(ports[0].state.cache.probe(a), "the refill at 300 postdates the upgrade");
+        // Once node 1 has surrendered exclusivity to that re-fetch, its
+        // next write upgrades again, and that does invalidate the copy.
+        deliver(&mut ports[1], 300 + m.hop);
+        ports[1].data(400, a, Access::Write, 0);
+        m.exchange(&mut ports);
+        deliver(&mut ports[0], 400 + m.hop);
+        assert!(!ports[0].state.cache.probe(a));
     }
 
     #[test]
@@ -644,12 +677,12 @@ mod tests {
                 for i in 0..24u64 {
                     ports[0].data(i, 0x1000 + i * 32, Access::Read, 0);
                 }
-                m.exchange();
+                m.exchange(&mut ports);
                 for i in 0..24u64 {
                     ports[1].data(1000, 0x1000 + i * 32, Access::Write, 0);
                 }
-                m.exchange();
-                m.deliver(0, 1000 + m.hop);
+                m.exchange(&mut ports);
+                deliver(&mut ports[0], 1000 + m.hop);
             }
             let t = 1000 + m.hop;
             match ports[0].data(t, 0x9000, Access::Read, 0) {
@@ -693,10 +726,10 @@ mod tests {
         // Lock 1 homes on node 1; node 0 must message the home and wait
         // for the token, two hops in total.
         assert_eq!(ports[0].sync(10, 0, acq(1)), SyncOutcome::Wait);
-        m.exchange();
-        assert!(m.deliver(1, 10 + m.hop).is_empty()); // home grants, token routed
-        m.exchange();
-        let wakes = m.deliver(0, 10 + 2 * m.hop);
+        m.exchange(&mut ports);
+        assert!(deliver(&mut ports[1], 10 + m.hop).is_empty()); // home grants, token routed
+        m.exchange(&mut ports);
+        let wakes = deliver(&mut ports[0], 10 + 2 * m.hop);
         assert_eq!(wakes, vec![0]);
         // The re-executed acquire consumes the token unconditionally.
         assert_eq!(ports[0].sync(10 + 2 * m.hop, 0, acq(1)), SyncOutcome::Proceed);
@@ -710,12 +743,13 @@ mod tests {
         // Lock 1 homes on node 1, held by node 1 itself; node 2 queues.
         assert_eq!(ports[1].sync(0, 0, acq(1)), SyncOutcome::Proceed);
         assert_eq!(ports[2].sync(0, 0, acq(1)), SyncOutcome::Wait);
-        m.exchange();
-        m.deliver(1, m.hop); // request queues at the home
-                             // The home-side release wakes the waiter; its token crosses back.
+        m.exchange(&mut ports);
+        // The request queues at the home; the home-side release then
+        // wakes the waiter, and its token crosses back.
+        deliver(&mut ports[1], m.hop);
         assert_eq!(ports[1].sync(200, 0, rel(1)), SyncOutcome::Proceed);
-        m.exchange();
-        let wakes = m.deliver(2, 200 + m.hop);
+        m.exchange(&mut ports);
+        let wakes = deliver(&mut ports[2], 200 + m.hop);
         assert_eq!(wakes, vec![0]);
         assert_eq!(ports[2].sync(200 + m.hop, 0, acq(1)), SyncOutcome::Proceed);
     }
@@ -725,16 +759,16 @@ mod tests {
         let (mut m, mut ports) = Machine::new(2, dash());
         ports[0].data(0, 0x40, Access::Read, 0);
         ports[1].data(0, 0x40, Access::Read, 0);
-        m.exchange();
+        m.exchange(&mut ports);
         ports[1].data(100, 0x40, Access::Write, 0);
-        m.exchange();
+        m.exchange(&mut ports);
         // Due cycle is exactly 100 + hop; delivering at precisely that
         // cycle (a quantum boundary in the driver) must apply it, and
         // one cycle earlier must not.
-        assert!(m.states[0].lock().unwrap().next_due() == Some(100 + m.hop));
-        m.deliver(0, 100 + m.hop - 1);
-        assert!(m.states[0].lock().unwrap().cache.probe(0x40));
-        m.deliver(0, 100 + m.hop);
-        assert!(!m.states[0].lock().unwrap().cache.probe(0x40));
+        assert!(ports[0].state.next_due() == Some(100 + m.hop));
+        deliver(&mut ports[0], 100 + m.hop - 1);
+        assert!(ports[0].state.cache.probe(0x40));
+        deliver(&mut ports[0], 100 + m.hop);
+        assert!(!ports[0].state.cache.probe(0x40));
     }
 }

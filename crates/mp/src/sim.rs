@@ -1,8 +1,8 @@
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, RwLock};
 
 use interleave_core::{IdleBound, ProcConfig, Processor, Scheme, WaitReason};
 use interleave_engine::{
-    lock, read_lock, run_sharded, write_lock, Hooks, QuantumSchedule, Segment, Shard,
+    read_lock, run_sharded, write_lock, Hooks, QuantumSchedule, Segment, Shard,
 };
 use interleave_mem::CacheParams;
 use interleave_obs::validate::Violation;
@@ -278,9 +278,6 @@ impl MpSim {
 
         let line_size = CacheParams::primary_data().line;
         let master = Arc::new(RwLock::new(Directory::new(self.nodes, line_size)));
-        let states: Vec<Arc<Mutex<ShardState>>> = (0..self.nodes)
-            .map(|n| Arc::new(Mutex::new(ShardState::new(n, contexts, threads as u32, hop))))
-            .collect();
         let mut shards: Vec<NodeShard> = (0..self.nodes)
             .map(|n| {
                 let mut cfg = ProcConfig::new(self.scheme, contexts);
@@ -289,17 +286,12 @@ impl MpSim {
                 let port = ShardPort::new(
                     n,
                     self.nodes,
+                    contexts,
                     self.seed,
                     self.latency,
-                    states[n].clone(),
                     master.clone(),
                 );
-                NodeShard {
-                    cpu: Processor::new(cfg, port),
-                    state: states[n].clone(),
-                    contexts,
-                    idle_skip: self.idle_skip,
-                }
+                NodeShard { cpu: Processor::new(cfg, port), contexts, idle_skip: self.idle_skip }
             })
             .collect();
         for (node, shard) in shards.iter_mut().enumerate() {
@@ -325,7 +317,6 @@ impl MpSim {
         let mut hooks = MachineHooks {
             sim: self,
             master: &master,
-            states: &states,
             hop,
             eff_seq: 0,
             fault_pending: self.fault_at,
@@ -351,8 +342,8 @@ impl MpSim {
         let mut merged: [Histogram; 4] = Default::default();
         let mut mlp = (0u64, 0u64);
         let mut sync_stats = (0u64, 0u64);
-        for state in &states {
-            let st = lock(state);
+        for cpu in &cpus {
+            let st = &cpu.port().state;
             for (h, shard) in merged.iter_mut().zip(st.latencies.iter()) {
                 h.merge(shard);
             }
@@ -375,13 +366,24 @@ impl MpSim {
     }
 }
 
-/// One node as an engine shard: the processor plus a handle to the
-/// node's locked [`ShardState`].
+/// One node as an engine shard: the processor, whose port owns the
+/// node's [`ShardState`].
 struct NodeShard {
     cpu: Processor<ShardPort>,
-    state: Arc<Mutex<ShardState>>,
     contexts: usize,
     idle_skip: bool,
+}
+
+impl NodeShard {
+    fn state(&self) -> &ShardState {
+        &self.cpu.port().state
+    }
+}
+
+impl AsMut<ShardState> for NodeShard {
+    fn as_mut(&mut self) -> &mut ShardState {
+        &mut self.cpu.port_mut().state
+    }
 }
 
 impl Shard for NodeShard {
@@ -393,17 +395,17 @@ impl Shard for NodeShard {
                 self.cpu.reset_retired(ctx);
             }
         }
-        advance_shard(&mut self.cpu, &self.state, seg.from, seg.to, self.contexts, self.idle_skip);
+        advance_shard(&mut self.cpu, seg.from, seg.to, self.idle_skip);
     }
 }
 
 /// The machine-level callbacks the engine schedule drives between
 /// segments. All of them run on the driver thread while every worker is
-/// parked at a barrier, so the shard locks are uncontended.
+/// parked at a barrier, with every node shard lent to them in node
+/// order.
 struct MachineHooks<'a> {
     sim: &'a MpSim,
     master: &'a RwLock<Directory>,
-    states: &'a [Arc<Mutex<ShardState>>],
     hop: u64,
     /// Persistent sequence counter of the effect lanes (lives across
     /// barriers so effect keys never repeat while earlier effects are
@@ -413,15 +415,15 @@ struct MachineHooks<'a> {
     quota: u64,
 }
 
-impl Hooks for MachineHooks<'_> {
-    fn exchange(&mut self, _now: u64) {
-        barrier_exchange(self.master, self.states, self.hop, &mut self.eff_seq);
+impl Hooks<NodeShard> for MachineHooks<'_> {
+    fn exchange(&mut self, _now: u64, shards: &mut [&mut NodeShard]) {
+        barrier_exchange(self.master, shards, self.hop, &mut self.eff_seq);
     }
 
     /// Machine-wide coherence checks are O(tracked lines), so they run
     /// at chunk boundaries rather than per tick; per-tick processor
     /// checks are enabled on each CPU via `cfg.validate`.
-    fn check(&mut self, now: u64) -> Result<(), String> {
+    fn check(&mut self, now: u64, shards: &mut [&mut NodeShard]) -> Result<(), String> {
         if !self.sim.validate {
             return Ok(());
         }
@@ -430,10 +432,11 @@ impl Hooks for MachineHooks<'_> {
         dir.check_invariants(now).map_err(fail)?;
         // Cross-check: every copy the master tracks must actually be
         // cached by its node.
-        let guards: Vec<MutexGuard<'_, ShardState>> = self.states.iter().map(|s| lock(s)).collect();
         let mut missing = None;
         dir.for_each_cached_copy(|line, node, dirty| {
-            if missing.is_none() && (node >= self.sim.nodes || !guards[node].cache.probe(line)) {
+            if missing.is_none()
+                && (node >= self.sim.nodes || !shards[node].state().cache.probe(line))
+            {
                 missing = Some((line, node, dirty));
             }
         });
@@ -449,16 +452,16 @@ impl Hooks for MachineHooks<'_> {
                 .with_context(node),
             ));
         }
-        for g in &guards {
-            g.sync.check_invariants(now).map_err(fail)?;
+        for shard in shards.iter() {
+            shard.state().sync.check_invariants(now).map_err(fail)?;
         }
         Ok(())
     }
 
-    fn begin_measurement(&mut self, _now: u64) {
+    fn begin_measurement(&mut self, _now: u64, shards: &mut [&mut NodeShard]) {
         write_lock(self.master).reset_stats();
-        for state in self.states {
-            for h in &mut lock(state).latencies {
+        for shard in shards.iter_mut() {
+            for h in &mut shard.as_mut().latencies {
                 h.reset();
             }
         }
@@ -473,8 +476,8 @@ impl Hooks for MachineHooks<'_> {
         }
     }
 
-    fn done(&mut self) -> bool {
-        self.states.iter().all(|s| lock(s).retired.iter().all(|&r| r >= self.quota))
+    fn done(&mut self, shards: &mut [&mut NodeShard]) -> bool {
+        shards.iter().all(|s| (0..s.contexts).all(|ctx| s.cpu.retired(ctx) >= self.quota))
     }
 }
 
@@ -483,14 +486,7 @@ impl Hooks for MachineHooks<'_> {
 /// per-node reuse of the event-driven uniprocessor machinery: the jump
 /// target is clamped to the segment end, the processor's own idle bound,
 /// and the earliest queued message).
-fn advance_shard(
-    cpu: &mut Processor<ShardPort>,
-    state: &Mutex<ShardState>,
-    from: u64,
-    to: u64,
-    contexts: usize,
-    idle_skip: bool,
-) {
+fn advance_shard(cpu: &mut Processor<ShardPort>, from: u64, to: u64, idle_skip: bool) {
     debug_assert_eq!(cpu.now(), from);
     let mut wakes = Vec::new();
     loop {
@@ -498,13 +494,11 @@ fn advance_shard(
         if now >= to {
             break;
         }
-        // One state lock per iteration: apply due messages, then read
-        // the next due cycle to bound any idle jump.
-        let next_due = {
-            let mut st = lock(state);
-            st.deliver_due(now, &mut wakes);
-            st.next_due()
-        };
+        // Apply due messages, then read the next due cycle to bound any
+        // idle jump.
+        let st = &mut cpu.port_mut().state;
+        st.deliver_due(now, &mut wakes);
+        let next_due = st.next_due();
         for ctx in wakes.drain(..) {
             if cpu.ctx_view(ctx).waiting_on == Some(WaitReason::Sync) {
                 cpu.wake_context(ctx);
@@ -528,11 +522,6 @@ fn advance_shard(
             }
         }
         cpu.tick();
-    }
-    // Publish retired counts for the driver's barrier-time done-check.
-    let mut st = lock(state);
-    for ctx in 0..contexts {
-        st.retired[ctx] = cpu.retired(ctx);
     }
 }
 

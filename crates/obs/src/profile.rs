@@ -646,11 +646,18 @@ mod tests {
         set_enabled(true);
         let _ = take();
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let _scope = enter("test.worker");
-                    mark("test.worker.mark");
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _scope = enter("test.worker");
+                        mark("test.worker.mark");
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope's implicit join can return before
+            // a thread's thread-locals (and so its profile) are flushed.
+            for w in workers {
+                w.join().expect("worker");
             }
         });
         let profile = take();

@@ -228,6 +228,12 @@ impl IssueWindow {
         self.ctx.iter().filter(|&&c| c == ctx).count()
     }
 
+    /// Earliest cycle at which an in-flight instruction retires, if any
+    /// (bounds how far a stalled issue stage may be fast-forwarded).
+    pub fn next_retire(&self) -> Option<u64> {
+        self.retires_at.iter().copied().min()
+    }
+
     /// Total in-flight instructions.
     pub fn len(&self) -> usize {
         self.ctx.len()
@@ -262,6 +268,17 @@ mod tests {
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].fetch_index, 0);
         assert_eq!(w.len(), 1);
+    }
+
+    #[test]
+    fn next_retire_is_the_minimum_due_cycle() {
+        let mut w = IssueWindow::new();
+        assert_eq!(w.next_retire(), None);
+        w.issue(inflight(0, 0, 1, 7)); // FP: retires later
+        w.issue(inflight(0, 1, 2, 5));
+        assert_eq!(w.next_retire(), Some(5));
+        w.retire_due(5);
+        assert_eq!(w.next_retire(), Some(7));
     }
 
     #[test]

@@ -219,6 +219,22 @@ if ! awk -v b="$batches" -v c="$sim_cycles" 'BEGIN { exit (b / c <= 0.08) ? 0 : 
 fi
 echo "check.sh: generation stayed batched ($batches source round-trips over $sim_cycles sim-cycles)"
 
+# Tick work-count guard: idle and RF-stall fast-forwarding must keep
+# covering the cycles they cover. The smoke grid is fixed-seed, so the
+# rate is exact: 205,060 core.tick calls over 348,640 sim-cycles
+# (0.588/cycle) with both skips, 293,483 (0.842) with the empty-pipe
+# skip alone. The budget is the measured rate plus 5%.
+ticks="$(grep -o '"name": "core.tick", "calls": [0-9]*' "$profile_json" | sed 's/.*: //')"
+if [ -z "$ticks" ]; then
+  echo "check.sh: PROFILE_smoke.json is missing core.tick" >&2
+  exit 1
+fi
+if ! awk -v t="$ticks" -v c="$sim_cycles" 'BEGIN { exit (t / c <= 0.588 * 1.05) ? 0 : 1 }'; then
+  echo "check.sh: core.tick rate $ticks calls / $sim_cycles sim-cycles exceeds the $(awk 'BEGIN { print 0.588 * 1.05 }')/cycle budget — a fast-forward stopped firing?" >&2
+  exit 1
+fi
+echo "check.sh: tick work stayed skipped ($ticks core.tick calls over $sim_cycles sim-cycles)"
+
 # Self-test of the phase attribution: synthetically slow one phase via
 # the test hook and check the gate fails naming that phase.
 mkdir -p "$tmpdir/slow"

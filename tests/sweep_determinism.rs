@@ -103,6 +103,28 @@ fn uni_golden_values_with_and_without_idle_skip() {
     );
 }
 
+/// The RF-stall fast-forward must apply the wakes of the cycles it
+/// skips before the events of the cycle it lands on: a blocked
+/// processor's miss handler picks the next running context from the
+/// ready set, so a wake deferred past the landing cycle's events hands
+/// the pipeline to a different context. DT on four blocked contexts at
+/// the CI warmup and OS model exercises exactly that hand-off.
+#[test]
+fn blocked_dt_is_identical_with_and_without_idle_skip() {
+    let run = |idle_skip: bool| {
+        MultiprogramSim::builder(mixes::dt())
+            .scheme(Scheme::Blocked)
+            .contexts(4)
+            .quota(2_000)
+            .warmup(Scale::Ci.uni_warmup())
+            .os(Scale::Ci.os_model())
+            .idle_skip(idle_skip)
+            .build()
+            .run()
+    };
+    assert_eq!(run(true), run(false), "idle skipping changed blocked DT");
+}
+
 /// Same as above for the multiprocessor lockstep loop, whose idle
 /// skipping must also respect warmup and quota-check boundaries.
 #[test]
